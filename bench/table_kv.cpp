@@ -141,16 +141,16 @@ Outcome run_kv(mp::Platform& platform, int procs, int conns, int ops,
         std::vector<double>& lats = lat[static_cast<std::size_t>(c)];
         lats.reserve(static_cast<std::size_t>(ops));
         const std::string val(32, 'v');
+        const std::string prefix =
+            std::string("c").append(std::to_string(c)).append(":k");
         int sent = 0;
         while (sent < ops) {
           const int batch = std::min(window, ops - sent);
           for (int i = 0; i < batch; i++) {
             const int op = sent + i;
-            const std::string key =
-                "c" + std::to_string(c) + ":k" + std::to_string(op % 64);
+            const std::string key = prefix + std::to_string(op % 64);
             if (op % 10 == 9) {
-              cli.queue_range("c" + std::to_string(c) + ":k0",
-                              "c" + std::to_string(c) + ":k9", 16);
+              cli.queue_range(prefix + "0", prefix + "9", 16);
             } else if (op % 3 == 0) {
               cli.queue_set(key, val);
             } else {

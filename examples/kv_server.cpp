@@ -56,7 +56,8 @@ bool arg_flag(int argc, char** argv, const char* name) {
 void client_fleet_member(KvClient& cli, int id, int ops,
                          std::atomic<long>& failures) {
   std::map<std::string, std::string> model;
-  const std::string prefix = "c" + std::to_string(id) + ":";
+  const std::string prefix =
+      std::string("c").append(std::to_string(id)).append(":");
   long bad = 0;
   if (!cli.ping()) bad++;
   for (int i = 0; i < ops; i++) {
@@ -64,8 +65,10 @@ void client_fleet_member(KvClient& cli, int id, int ops,
     switch (i % 5) {
       case 0:
       case 1: {
-        const std::string val = "v" + std::to_string(id) + "." +
-                                std::to_string(i);
+        const std::string val = std::string("v")
+                                    .append(std::to_string(id))
+                                    .append(".")
+                                    .append(std::to_string(i));
         if (!cli.set(key, val)) bad++;
         model[key] = val;
         break;

@@ -1,9 +1,14 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <deque>
+#include <optional>
+#include <type_traits>
 
 #include "cont/cont.h"
+#include "gc/roots.h"
+#include "mp/platform.h"
 #include "threads/scheduler.h"
 #include "threads/sync.h"
 
@@ -24,29 +29,58 @@
 // many replies as requests it managed to submit).
 //
 // Synthesized from Mutex + CondVar per section 3.3's recipe, so waiting
-// receivers park through the scheduler and cost nothing.  Not selective:
+// receivers park through the scheduler and cost nothing.  Buffered
+// messages sit in PayloadSlots, so a GC-traced payload (gc::Value) stays
+// rooted, and current across collections, while it waits.  Not selective:
 // a mailbox is not an Event and cannot appear in a choose(); use a
 // rendezvous Channel when selectivity matters.
 
 namespace mp::cml {
 
+namespace detail {
+
+// Holds one word-sized T.  A GC-traced T lives in a GlobalRoot so
+// collections keep it current while it is parked inside a C++ structure;
+// any other T is just its raw word.
 template <typename T>
-class Mailbox {
-  // Buffered values are invisible to the GC between send and recv; only
-  // non-traced payloads (raw words, pointers to C++ objects) are safe.
-  static_assert(!cont::is_gc_traced<T>::value,
-                "Mailbox buffers values outside any GC root; "
-                "use a rendezvous Channel for GC-traced payloads");
+class PayloadSlot {
+  static constexpr bool kTraced = cont::is_gc_traced<T>::value;
 
  public:
-  explicit Mailbox(threads::Scheduler& sched) : mu_(sched), cv_(sched) {}
+  void set([[maybe_unused]] Platform& p, const T& v) {
+    const std::uint64_t raw = cont::detail::encode_slot(v);
+    if constexpr (kTraced) {
+      word_ = gc::GlobalRoot(p.heap(), gc::Value::from_raw_bits(raw));
+    } else {
+      word_ = raw;
+    }
+  }
+  T get() const {
+    if constexpr (kTraced) {
+      return cont::detail::decode_slot<T>(word_.get().raw_bits());
+    } else {
+      return cont::detail::decode_slot<T>(word_);
+    }
+  }
+
+ private:
+  std::conditional_t<kTraced, gc::GlobalRoot, std::uint64_t> word_{};
+};
+
+}  // namespace detail
+
+template <typename T>
+class Mailbox {
+ public:
+  explicit Mailbox(threads::Scheduler& sched)
+      : sched_(sched), mu_(sched), cv_(sched) {}
   Mailbox(const Mailbox&) = delete;
   Mailbox& operator=(const Mailbox&) = delete;
 
   // Enqueue `v` and return.  Never blocks beyond the internal mutex.
   void send(const T& v) {
     mu_.lock();
-    q_.push_back(v);
+    q_.emplace_back().set(sched_.platform(), v);
     cv_.signal();
     mu_.unlock();
   }
@@ -55,23 +89,17 @@ class Mailbox {
   T recv() {
     mu_.lock();
     while (q_.empty()) cv_.wait(mu_);
-    T v = std::move(q_.front());
-    q_.pop_front();
-    mu_.unlock();
-    return v;
+    return pop_and_unlock();
   }
 
-  // Dequeue without blocking: false when the mailbox is empty.
-  bool try_recv(T* out) {
+  // Dequeue without blocking: nullopt when the mailbox is empty.
+  std::optional<T> try_recv() {
     mu_.lock();
     if (q_.empty()) {
       mu_.unlock();
-      return false;
+      return std::nullopt;
     }
-    *out = std::move(q_.front());
-    q_.pop_front();
-    mu_.unlock();
-    return true;
+    return pop_and_unlock();
   }
 
   // Momentary size (racy under concurrent senders; for tests and metrics).
@@ -83,9 +111,19 @@ class Mailbox {
   }
 
  private:
+  // The slot leaves the queue under the mutex but is read only after the
+  // unlock, so a traced payload stays rooted until the value is returned.
+  T pop_and_unlock() {
+    detail::PayloadSlot<T> slot = std::move(q_.front());
+    q_.pop_front();
+    mu_.unlock();
+    return slot.get();
+  }
+
+  threads::Scheduler& sched_;
   threads::Mutex mu_;
   threads::CondVar cv_;
-  std::deque<T> q_;
+  std::deque<detail::PayloadSlot<T>> q_;
 };
 
 }  // namespace mp::cml

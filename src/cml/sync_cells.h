@@ -1,99 +1,63 @@
 #pragma once
 
-#include <deque>
+#include <optional>
 
-#include "cml/cml.h"
+#include "cml/mailbox.h"
+#include "threads/scheduler.h"
+#include "threads/sync.h"
 
 // Synchronizing memory cells in the CML tradition, synthesized — like the
 // channels — from mutex locks, refs and continuations (paper section 3.3):
+// each cell is a Mutex-guarded PayloadSlot plus CondVars to wait on.
 //
-//   * IVar<T>   — write-once cell; readers block until it is filled.
-//   * MVar<T>   — a one-slot channel with take/put semantics.
-//   * Mailbox<T> — unbounded buffered channel; send never blocks.
+//   * IVar<T>    — write-once cell; readers block until it is filled.
+//   * MVar<T>    — a one-slot channel with take/put semantics.
+//   * Mailbox<T> — unbounded buffered channel; send never blocks
+//                  (cml/mailbox.h).
 
 namespace mp::cml {
-
-namespace detail {
-
-// Holds one T; when T is a gc::Value the payload lives in a GlobalRoot so
-// collections keep it current while parked inside a C++ structure.
-template <typename T>
-class PayloadSlot {
- public:
-  void set(Platform& p, const T& v) {
-    raw_ = cont::detail::encode_slot(v);
-    if constexpr (cont::is_gc_traced<T>::value) {
-      root_ = gc::GlobalRoot(p.heap(), gc::Value::from_raw_bits(raw_));
-    }
-  }
-  T get() const {
-    if constexpr (cont::is_gc_traced<T>::value) {
-      return cont::detail::decode_slot<T>(root_.get().raw_bits());
-    } else {
-      return cont::detail::decode_slot<T>(raw_);
-    }
-  }
-
- private:
-  std::uint64_t raw_ = 0;
-  gc::GlobalRoot root_;
-};
-
-}  // namespace detail
 
 // Write-once synchronizing variable.
 template <typename T>
 class IVar {
  public:
-  explicit IVar(threads::Scheduler& sched) : sched_(sched) {
-    spin_ = sched_.platform().mutex_lock();
-  }
+  explicit IVar(threads::Scheduler& sched)
+      : sched_(sched), mu_(sched), filled_(sched) {}
   IVar(const IVar&) = delete;
   IVar& operator=(const IVar&) = delete;
 
   // Fill the cell and wake every blocked reader.  Filling twice panics
   // (the ML version raises Put).
   void put(const T& v) {
-    Platform& p = sched_.platform();
-    p.lock(spin_);
+    mu_.lock();
     MPNJ_CHECK(!full_, "IVar::put on a full IVar");
-    slot_.set(p, v);
+    slot_.set(sched_.platform(), v);
     full_ = true;
-    std::deque<threads::ThreadState> woken;
-    woken.swap(waiters_);
-    p.unlock(spin_);
-    for (auto& t : woken) sched_.reschedule(std::move(t));
+    filled_.broadcast();
+    mu_.unlock();
   }
 
   // Read the cell, blocking until it has been filled.
   T get() {
-    Platform& p = sched_.platform();
-    p.lock(spin_);
-    if (full_) {
-      p.unlock(spin_);
-      return slot_.get();  // immutable once full
-    }
-    sched_.suspend([&](threads::ThreadState t) {
-      waiters_.push_back(std::move(t));
-      p.unlock(spin_);
-    });
-    return slot_.get();
+    mu_.lock();
+    while (!full_) filled_.wait(mu_);
+    mu_.unlock();
+    return slot_.get();  // immutable once full
   }
 
   bool full() {
-    Platform& p = sched_.platform();
-    p.lock(spin_);
+    mu_.lock();
     const bool f = full_;
-    p.unlock(spin_);
+    mu_.unlock();
     return f;
   }
 
  private:
   threads::Scheduler& sched_;
-  MutexLock spin_;
+  threads::Mutex mu_;
+  threads::CondVar filled_;
   bool full_ = false;
   detail::PayloadSlot<T> slot_;
-  std::deque<threads::ThreadState> waiters_;
 };
 
 // One-slot synchronizing variable: put blocks while full, take blocks
@@ -101,164 +65,61 @@ class IVar {
 template <typename T>
 class MVar {
  public:
-  explicit MVar(threads::Scheduler& sched) : sched_(sched) {
-    spin_ = sched_.platform().mutex_lock();
-  }
+  explicit MVar(threads::Scheduler& sched)
+      : sched_(sched), mu_(sched), not_full_(sched), not_empty_(sched) {}
   MVar(const MVar&) = delete;
   MVar& operator=(const MVar&) = delete;
 
   void put(const T& v) {
-    Platform& p = sched_.platform();
-    for (;;) {
-      p.lock(spin_);
-      if (!full_) {
-        slot_.set(p, v);
-        full_ = true;
-        wake_one(takers_);  // unlocks
-        return;
-      }
-      sched_.suspend([&](threads::ThreadState t) {
-        putters_.push_back(std::move(t));
-        p.unlock(spin_);
-      });
-      // Mesa semantics: re-check after waking.
-    }
+    mu_.lock();
+    while (full_) not_full_.wait(mu_);  // Mesa: re-check after waking
+    fill(v);
+    mu_.unlock();
   }
 
   T take() {
-    Platform& p = sched_.platform();
-    for (;;) {
-      p.lock(spin_);
-      if (full_) {
-        T v = slot_.get();
-        full_ = false;
-        wake_one(putters_);  // unlocks
-        return v;
-      }
-      sched_.suspend([&](threads::ThreadState t) {
-        takers_.push_back(std::move(t));
-        p.unlock(spin_);
-      });
-    }
+    mu_.lock();
+    while (!full_) not_empty_.wait(mu_);
+    T v = drain();
+    mu_.unlock();
+    return v;
   }
 
   bool try_put(const T& v) {
-    Platform& p = sched_.platform();
-    p.lock(spin_);
-    if (full_) {
-      p.unlock(spin_);
-      return false;
-    }
-    slot_.set(p, v);
-    full_ = true;
-    wake_one(takers_);
-    return true;
+    mu_.lock();
+    const bool ok = !full_;
+    if (ok) fill(v);
+    mu_.unlock();
+    return ok;
   }
 
   std::optional<T> try_take() {
-    Platform& p = sched_.platform();
-    p.lock(spin_);
-    if (!full_) {
-      p.unlock(spin_);
-      return std::nullopt;
-    }
-    T v = slot_.get();
-    full_ = false;
-    wake_one(putters_);
+    mu_.lock();
+    std::optional<T> v;
+    if (full_) v = drain();
+    mu_.unlock();
     return v;
   }
 
  private:
-  // Pops one waiter (if any) and releases the spin lock either way.
-  void wake_one(std::deque<threads::ThreadState>& q) {
-    Platform& p = sched_.platform();
-    if (q.empty()) {
-      p.unlock(spin_);
-      return;
-    }
-    threads::ThreadState t = std::move(q.front());
-    q.pop_front();
-    p.unlock(spin_);
-    sched_.reschedule(std::move(t));
+  // Both run under mu_ and wake one waiter of the opposite side.
+  void fill(const T& v) {
+    slot_.set(sched_.platform(), v);
+    full_ = true;
+    not_empty_.signal();
+  }
+  T drain() {
+    full_ = false;
+    not_full_.signal();
+    return slot_.get();
   }
 
   threads::Scheduler& sched_;
-  MutexLock spin_;
+  threads::Mutex mu_;
+  threads::CondVar not_full_;
+  threads::CondVar not_empty_;
   bool full_ = false;
   detail::PayloadSlot<T> slot_;
-  std::deque<threads::ThreadState> putters_;
-  std::deque<threads::ThreadState> takers_;
-};
-
-// Unbounded buffered channel: send is asynchronous (never blocks), recv
-// blocks while empty — CML's Mailbox.
-template <typename T>
-class Mailbox {
- public:
-  explicit Mailbox(threads::Scheduler& sched) : sched_(sched) {
-    spin_ = sched_.platform().mutex_lock();
-  }
-  Mailbox(const Mailbox&) = delete;
-  Mailbox& operator=(const Mailbox&) = delete;
-
-  void send(const T& v) {
-    Platform& p = sched_.platform();
-    p.lock(spin_);
-    buffer_.emplace_back();
-    buffer_.back().set(p, v);
-    if (!waiters_.empty()) {
-      threads::ThreadState t = std::move(waiters_.front());
-      waiters_.pop_front();
-      p.unlock(spin_);
-      sched_.reschedule(std::move(t));
-      return;
-    }
-    p.unlock(spin_);
-  }
-
-  T recv() {
-    Platform& p = sched_.platform();
-    for (;;) {
-      p.lock(spin_);
-      if (!buffer_.empty()) {
-        T v = buffer_.front().get();
-        buffer_.pop_front();
-        p.unlock(spin_);
-        return v;
-      }
-      sched_.suspend([&](threads::ThreadState t) {
-        waiters_.push_back(std::move(t));
-        p.unlock(spin_);
-      });
-    }
-  }
-
-  std::optional<T> try_recv() {
-    Platform& p = sched_.platform();
-    p.lock(spin_);
-    if (buffer_.empty()) {
-      p.unlock(spin_);
-      return std::nullopt;
-    }
-    T v = buffer_.front().get();
-    buffer_.pop_front();
-    p.unlock(spin_);
-    return v;
-  }
-
-  std::size_t size() {
-    Platform& p = sched_.platform();
-    p.lock(spin_);
-    const std::size_t n = buffer_.size();
-    p.unlock(spin_);
-    return n;
-  }
-
- private:
-  threads::Scheduler& sched_;
-  MutexLock spin_;
-  std::deque<detail::PayloadSlot<T>> buffer_;
-  std::deque<threads::ThreadState> waiters_;
 };
 
 }  // namespace mp::cml

@@ -358,12 +358,14 @@ ExecResult run_kv_pipeline(const ScenarioOpts& o) {
             const int op = sent + i;
             // Keys are shared across connections (no per-conn prefix), so
             // shard channels see genuine cross-connection interleaving.
-            const std::string key = "k" + std::to_string((c + op * 3) % 40);
+            const std::string key =
+                std::string("k").append(std::to_string((c + op * 3) % 40));
             switch (op % 7) {
               case 0:
               case 1:
               case 4:
-                cli.queue_set(key, "v" + std::to_string(c * 1000 + op));
+                cli.queue_set(
+                    key, std::string("v").append(std::to_string(c * 1000 + op)));
                 break;
               case 2:
               case 5:

@@ -4,6 +4,7 @@
 #include <memory>
 #include <vector>
 
+#include "arch/tas.h"
 #include "cml/sync_cells.h"
 #include "threads/scheduler.h"
 #include "threads/sync.h"
@@ -42,7 +43,8 @@ struct ThreadRec {
 
 // Maps scheduler thread ids to their records so test_alert can find the
 // calling thread's record.  Guarded by a raw spin word (it sits below the
-// platform and entries are touched only at fork/exit/poll).
+// platform and entries are touched only at fork/exit/poll), taken through
+// the runtime's shared spin loop (arch/tas.h).
 class AlertRegistry {
  public:
   static AlertRegistry& instance() {
@@ -51,11 +53,11 @@ class AlertRegistry {
   }
 
   void set(int tid, ThreadRec* rec) {
-    Spin guard(word_);
+    arch::TasGuard guard(word_);
     entries_.emplace_back(tid, rec);
   }
   void clear(int tid) {
-    Spin guard(word_);
+    arch::TasGuard guard(word_);
     for (auto it = entries_.begin(); it != entries_.end(); ++it) {
       if (it->first == tid) {
         entries_.erase(it);
@@ -64,7 +66,7 @@ class AlertRegistry {
     }
   }
   ThreadRec* find(int tid) {
-    Spin guard(word_);
+    arch::TasGuard guard(word_);
     for (const auto& [id, rec] : entries_) {
       if (id == tid) return rec;
     }
@@ -72,21 +74,8 @@ class AlertRegistry {
   }
 
  private:
-  class Spin {
-   public:
-    explicit Spin(std::atomic<std::uint32_t>& w) : w_(w) {
-      while (w_.exchange(1, std::memory_order_acquire) != 0) {
-        arch::cpu_relax();
-      }
-    }
-    ~Spin() { w_.store(0, std::memory_order_release); }
-
-   private:
-    std::atomic<std::uint32_t>& w_;
-  };
-
   AlertRegistry() = default;
-  std::atomic<std::uint32_t> word_{0};
+  arch::TasWord word_;
   std::vector<std::pair<int, ThreadRec*>> entries_;
 };
 

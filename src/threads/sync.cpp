@@ -35,13 +35,10 @@ void set_lock_discipline(LockDiscipline d) {
   discipline_cell().store(d, std::memory_order_relaxed);
 }
 
-namespace {
-bool use_tas() { return lock_discipline() == LockDiscipline::kTas; }
-}  // namespace
-
 // ----- Mutex -----
 
-Mutex::Mutex(Scheduler& sched) : sched_(sched), tas_(use_tas()) {
+Mutex::Mutex(Scheduler& sched)
+    : sched_(sched), tas_(lock_discipline() == LockDiscipline::kTas) {
   if (tas_) {
     spin_ = sched_.platform().mutex_lock();
   } else {
@@ -113,86 +110,50 @@ bool Mutex::held() const {
 
 // ----- CondVar -----
 
-CondVar::CondVar(Scheduler& sched) : sched_(sched), tas_(use_tas()) {
+CondVar::CondVar(Scheduler& sched) : sched_(sched) {
   spin_ = sched_.platform().mutex_lock();
 }
 
 void CondVar::wait(Mutex& m) {
   MPNJ_CHECK(m.held(), "CondVar::wait without the monitor held");
+  // Enqueue the claim while still inside the monitor, release the monitor
+  // on this frame, then wait.  A signal landing between the unlock and the
+  // park simply grants the claim early and claim_wait returns without
+  // parking; one landing before the unlock is also fine — the signaler
+  // never touches the monitor, so there is no lock-order cycle.  The
+  // monitor is released and retaken through its own lock()/unlock(), so
+  // either Mutex discipline pairs with this CondVar.
   Platform& p = sched_.platform();
-  if (!tas_) {
-    // Enqueue the claim while still inside the monitor, release the monitor
-    // on this frame, then wait.  A signal landing between the unlock and
-    // the park simply grants the claim early and claim_wait returns without
-    // parking; one landing before the unlock is also fine — the signaler
-    // never touches the monitor, so there is no lock-order cycle.
-    QNode n;
-    p.lock(spin_);
-    qwaiters_.push(&n);
-    p.unlock(spin_);
-    m.unlock();
-    claim_wait(sched_, n);
-    m.lock();
-    return;
-  }
-  // Baseline protocol: enqueue first, release the monitor second, both from
-  // the park callback.  The callback runs on a fresh segment after this
-  // frame is sealed (cont/cont.h), so by the time m.unlock() can hand the
-  // monitor onward — even if the new owner signals immediately and the
-  // signal races our park — our ThreadState is already on the queue and a
-  // resume can only happen after the callback returns into the dispatcher.
-  // Audited interleavings in docs/SYNC.md; pinned by the TSan stress test.
-  MPNJ_METRIC_COUNT(kLockParkWaits, 1);
-  sched_.suspend([&](ThreadState t) {
-    p.lock(spin_);
-    waiters_.push_back(std::move(t));
-    p.unlock(spin_);
-    m.unlock();
-  });
+  QNode n;
+  p.lock(spin_);
+  waiters_.push(&n);
+  p.unlock(spin_);
+  m.unlock();
+  claim_wait(sched_, n);
   m.lock();
 }
 
 void CondVar::signal() {
   Platform& p = sched_.platform();
-  if (!tas_) {
-    p.lock(spin_);
-    QNode* n = qwaiters_.pop();
-    p.unlock(spin_);
-    if (n != nullptr) claim_grant(sched_, *n);
-    return;
-  }
   p.lock(spin_);
-  if (waiters_.empty()) {
-    p.unlock(spin_);
-    return;
-  }
-  ThreadState t = std::move(waiters_.front());
-  waiters_.pop_front();
+  QNode* n = waiters_.pop();
   p.unlock(spin_);
-  sched_.reschedule(std::move(t));
+  if (n != nullptr) claim_grant(sched_, *n);
 }
 
 void CondVar::broadcast() {
   Platform& p = sched_.platform();
-  if (!tas_) {
-    p.lock(spin_);
-    WaitList batch = qwaiters_.take();
-    p.unlock(spin_);
-    QNode* n;
-    while ((n = batch.pop()) != nullptr) claim_grant(sched_, *n);
-    return;
-  }
   p.lock(spin_);
-  std::deque<ThreadState> woken;
-  woken.swap(waiters_);
+  WaitList batch = waiters_.take();
   p.unlock(spin_);
-  for (auto& t : woken) sched_.reschedule(std::move(t));
+  QNode* n;
+  while ((n = batch.pop()) != nullptr) claim_grant(sched_, *n);
 }
 
 // ----- Barrier -----
 
 Barrier::Barrier(Scheduler& sched, int parties)
-    : sched_(sched), tas_(use_tas()), parties_(parties) {
+    : sched_(sched), parties_(parties) {
   spin_ = sched_.platform().mutex_lock();
 }
 
@@ -203,55 +164,36 @@ void Barrier::arrive_and_wait() {
   if (++waiting_ == parties_) {
     waiting_ = 0;
     generation_++;
-    if (!tas_) {
-      WaitList batch = qwaiters_.take();
-      const long released = generation_;
-      p.unlock(spin_);
-      QNode* n;
-      while ((n = batch.pop()) != nullptr) {
-        // Stamp the releasing generation before the grant; the waiter
-        // checks it was freed by its own episode's flip.
-        n->tag = released;
-        if (fuzz::injected(fuzz::InjectedBug::kBarrierGeneration)) {
-          // Deliberately re-introduced bug (MPNJ_FUZZ_INJECT): stamp the
-          // pre-flip generation, as if the flip forgot to advance before
-          // releasing.  Every released waiter's reuse guard then trips.
-          n->tag = released - 1;
-        }
-        claim_grant(sched_, *n);
+    WaitList batch = waiters_.take();
+    const long released = generation_;
+    p.unlock(spin_);
+    QNode* n;
+    while ((n = batch.pop()) != nullptr) {
+      // Stamp the releasing generation before the grant; the waiter checks
+      // it was freed by its own episode's flip.
+      n->tag = released;
+      if (fuzz::injected(fuzz::InjectedBug::kBarrierGeneration)) {
+        // Deliberately re-introduced bug (MPNJ_FUZZ_INJECT): stamp the
+        // pre-flip generation, as if the flip forgot to advance before
+        // releasing.  Every released waiter's reuse guard then trips.
+        n->tag = released - 1;
       }
-      return;
+      claim_grant(sched_, *n);
     }
-    std::deque<ThreadState> woken;
-    woken.swap(waiters_);
-    p.unlock(spin_);
-    for (auto& t : woken) sched_.reschedule(std::move(t));
     return;
   }
-  if (!tas_) {
-    QNode n;
-    qwaiters_.push(&n);
-    p.unlock(spin_);
-    claim_wait(sched_, n);
-    MPNJ_CHECK(n.tag == gen + 1,
-               "Barrier waiter resumed outside its own generation");
-    return;
-  }
-  MPNJ_METRIC_COUNT(kLockParkWaits, 1);
-  sched_.suspend([&](ThreadState t) {
-    waiters_.push_back(std::move(t));
-    p.unlock(spin_);
-  });
-  // Reuse guard: only the flip of our own episode may have freed us.
-  p.lock(spin_);
-  MPNJ_CHECK(generation_ > gen, "Barrier waiter resumed before its release");
+  QNode n;
+  waiters_.push(&n);
   p.unlock(spin_);
+  claim_wait(sched_, n);
+  MPNJ_CHECK(n.tag == gen + 1,
+             "Barrier waiter resumed outside its own generation");
 }
 
 // ----- Semaphore -----
 
 Semaphore::Semaphore(Scheduler& sched, long initial)
-    : sched_(sched), tas_(use_tas()), count_(initial) {
+    : sched_(sched), count_(initial) {
   MPNJ_CHECK(initial >= 0, "Semaphore initialized with a negative count");
   spin_ = sched_.platform().mutex_lock();
 }
@@ -264,18 +206,10 @@ void Semaphore::acquire() {
     p.unlock(spin_);
     return;
   }
-  if (!tas_) {
-    QNode n;
-    qwaiters_.push(&n);
-    p.unlock(spin_);
-    claim_wait(sched_, n);  // the permit passed to us with the grant
-    return;
-  }
-  MPNJ_METRIC_COUNT(kLockParkWaits, 1);
-  sched_.suspend([&](ThreadState t) {
-    waiters_.push_back(std::move(t));
-    p.unlock(spin_);
-  });
+  QNode n;
+  waiters_.push(&n);
+  p.unlock(spin_);
+  claim_wait(sched_, n);  // the permit passed to us with the grant
 }
 
 bool Semaphore::try_acquire() {
@@ -291,24 +225,11 @@ void Semaphore::release() {
   Platform& p = sched_.platform();
   p.lock(spin_);
   MPNJ_CHECK(count_ >= 0, "Semaphore count went negative");
-  if (!tas_) {
-    QNode* n = qwaiters_.pop();
-    if (n != nullptr) {
-      MPNJ_CHECK(count_ == 0, "Semaphore waiter parked with permits free");
-      p.unlock(spin_);
-      claim_grant(sched_, *n);  // the permit passes to the waiter
-      return;
-    }
-    count_++;
+  QNode* n = waiters_.pop();
+  if (n != nullptr) {
+    MPNJ_CHECK(count_ == 0, "Semaphore waiter parked with permits free");
     p.unlock(spin_);
-    return;
-  }
-  if (!waiters_.empty()) {
-    ThreadState t = std::move(waiters_.front());
-    waiters_.pop_front();
-    p.unlock(spin_);
-    MPNJ_METRIC_COUNT(kLockHandoffs, 1);
-    sched_.reschedule(std::move(t));  // the permit passes to the waiter
+    claim_grant(sched_, *n);  // the permit passes to the waiter
     return;
   }
   count_++;
@@ -317,33 +238,22 @@ void Semaphore::release() {
 
 // ----- RWLock -----
 
-RWLock::RWLock(Scheduler& sched) : sched_(sched), tas_(use_tas()) {
+RWLock::RWLock(Scheduler& sched) : sched_(sched) {
   spin_ = sched_.platform().mutex_lock();
 }
 
 void RWLock::lock_shared() {
   Platform& p = sched_.platform();
   p.lock(spin_);
-  const bool writers_queued =
-      tas_ ? !write_waiters_.empty() : !qwrite_waiters_.empty();
-  if (!writer_ && !writers_queued) {
+  if (!writer_ && write_waiters_.empty()) {
     readers_++;
     p.unlock(spin_);
     return;
   }
-  if (!tas_) {
-    QNode n;
-    qread_waiters_.push(&n);
-    p.unlock(spin_);
-    claim_wait(sched_, n);
-    return;  // the granter already counted us as a reader
-  }
-  MPNJ_METRIC_COUNT(kLockParkWaits, 1);
-  sched_.suspend([&](ThreadState t) {
-    read_waiters_.push_back(std::move(t));
-    p.unlock(spin_);
-  });
-  // Resumed by a releasing writer, which already counted us as a reader.
+  QNode n;
+  read_waiters_.push(&n);
+  p.unlock(spin_);
+  claim_wait(sched_, n);  // the granter already counted us as a reader
 }
 
 void RWLock::unlock_shared() {
@@ -352,21 +262,11 @@ void RWLock::unlock_shared() {
   MPNJ_CHECK(readers_ > 0, "RWLock::unlock_shared without a shared hold");
   MPNJ_CHECK(!writer_, "RWLock held shared and exclusive at once");
   if (--readers_ == 0) {
-    if (!tas_) {
-      QNode* w = qwrite_waiters_.pop();
-      if (w != nullptr) {
-        writer_ = true;
-        p.unlock(spin_);
-        claim_grant(sched_, *w);
-        return;
-      }
-    } else if (!write_waiters_.empty()) {
-      ThreadState w = std::move(write_waiters_.front());
-      write_waiters_.pop_front();
+    QNode* w = write_waiters_.pop();
+    if (w != nullptr) {
       writer_ = true;
       p.unlock(spin_);
-      MPNJ_METRIC_COUNT(kLockHandoffs, 1);
-      sched_.reschedule(std::move(w));
+      claim_grant(sched_, *w);
       return;
     }
   }
@@ -381,18 +281,10 @@ void RWLock::lock_exclusive() {
     p.unlock(spin_);
     return;
   }
-  if (!tas_) {
-    QNode n;
-    qwrite_waiters_.push(&n);
-    p.unlock(spin_);
-    claim_wait(sched_, n);
-    return;  // the granter set writer_ on our behalf
-  }
-  MPNJ_METRIC_COUNT(kLockParkWaits, 1);
-  sched_.suspend([&](ThreadState t) {
-    write_waiters_.push_back(std::move(t));
-    p.unlock(spin_);
-  });
+  QNode n;
+  write_waiters_.push(&n);
+  p.unlock(spin_);
+  claim_wait(sched_, n);  // the granter set writer_ on our behalf
 }
 
 void RWLock::unlock_exclusive() {
@@ -400,50 +292,32 @@ void RWLock::unlock_exclusive() {
   p.lock(spin_);
   MPNJ_CHECK(writer_, "RWLock::unlock_exclusive without the exclusive hold");
   MPNJ_CHECK(readers_ == 0, "RWLock held shared and exclusive at once");
-  if (!tas_) {
-    // Phase-fair: the reader batch that accumulated behind this writer goes
-    // first, then the next writer — neither side starves.
-    if (!qread_waiters_.empty()) {
-      writer_ = false;
-      WaitList batch = qread_waiters_.take();
-      readers_ += batch.size();
-      p.unlock(spin_);
-      QNode* n;
-      while ((n = batch.pop()) != nullptr) claim_grant(sched_, *n);
-      return;
-    }
-    QNode* w = qwrite_waiters_.pop();
-    if (w != nullptr) {
-      // writer_ stays true: direct handoff to the next writer.
-      p.unlock(spin_);
-      claim_grant(sched_, *w);
-      return;
-    }
+  // Phase-fair: the reader batch that accumulated behind this writer goes
+  // first, then the next writer — neither side starves.
+  if (!read_waiters_.empty()) {
     writer_ = false;
+    WaitList batch = read_waiters_.take();
+    readers_ += batch.size();
     p.unlock(spin_);
+    QNode* n;
+    while ((n = batch.pop()) != nullptr) claim_grant(sched_, *n);
     return;
   }
-  if (!write_waiters_.empty()) {
-    ThreadState w = std::move(write_waiters_.front());
-    write_waiters_.pop_front();
+  QNode* w = write_waiters_.pop();
+  if (w != nullptr) {
     // writer_ stays true: direct handoff to the next writer.
     p.unlock(spin_);
-    MPNJ_METRIC_COUNT(kLockHandoffs, 1);
-    sched_.reschedule(std::move(w));
+    claim_grant(sched_, *w);
     return;
   }
   writer_ = false;
-  std::deque<ThreadState> woken;
-  woken.swap(read_waiters_);
-  readers_ += static_cast<int>(woken.size());
   p.unlock(spin_);
-  for (auto& t : woken) sched_.reschedule(std::move(t));
 }
 
 // ----- CountdownLatch -----
 
 CountdownLatch::CountdownLatch(Scheduler& sched, long count)
-    : sched_(sched), tas_(use_tas()), count_(count) {
+    : sched_(sched), count_(count) {
   MPNJ_CHECK(count >= 0, "CountdownLatch initialized with a negative count");
   spin_ = sched_.platform().mutex_lock();
 }
@@ -452,20 +326,13 @@ void CountdownLatch::count_down() {
   Platform& p = sched_.platform();
   p.lock(spin_);
   if (count_ > 0 && --count_ == 0) {
-    if (!tas_) {
-      WaitList batch = qwaiters_.take();
-      p.unlock(spin_);
-      QNode* n;
-      while ((n = batch.pop()) != nullptr) claim_grant(sched_, *n);
-      return;
-    }
-    std::deque<ThreadState> woken;
-    woken.swap(waiters_);
+    WaitList batch = waiters_.take();
     p.unlock(spin_);
-    for (auto& t : woken) sched_.reschedule(std::move(t));
+    QNode* n;
+    while ((n = batch.pop()) != nullptr) claim_grant(sched_, *n);
     return;
   }
-  MPNJ_CHECK(count_ > 0 || (qwaiters_.empty() && waiters_.empty()),
+  MPNJ_CHECK(count_ > 0 || waiters_.empty(),
              "CountdownLatch waiters survived the release");
   p.unlock(spin_);
 }
@@ -477,18 +344,10 @@ void CountdownLatch::await() {
     p.unlock(spin_);
     return;
   }
-  if (!tas_) {
-    QNode n;
-    qwaiters_.push(&n);
-    p.unlock(spin_);
-    claim_wait(sched_, n);
-    return;
-  }
-  MPNJ_METRIC_COUNT(kLockParkWaits, 1);
-  sched_.suspend([&](ThreadState t) {
-    waiters_.push_back(std::move(t));
-    p.unlock(spin_);
-  });
+  QNode n;
+  waiters_.push(&n);
+  p.unlock(spin_);
+  claim_wait(sched_, n);
 }
 
 long CountdownLatch::remaining() {

@@ -12,27 +12,25 @@
 // first-class continuations").  Parked threads cost nothing and their proc
 // runs other work; a release hands ownership to a waiter directly.
 //
-// Two lock disciplines implement that contract (docs/SYNC.md):
+// Every primitive waits through the MCS-style claim/release core of
+// qlock.h (docs/SYNC.md): each waiter owns a cache-line-padded claim node,
+// joins with one RMW (or an O(1) push under the primitive's short spin
+// guard), spins briefly on its own flag and then parks through the
+// scheduler, and each release grants the head claim directly: FIFO-fair
+// across procs, no shared spin word, no proc ever burned on a waiter.  The
+// RWLock is phase-fair: a releasing writer admits the whole waiting reader
+// batch before the next writer.
 //
-//   queue (default) — the MCS-style claim/release core of qlock.h.  Each
-//     waiter owns a cache-line-padded claim node, joins with one RMW, spins
-//     briefly on its own flag and then parks through the scheduler, and
-//     each release grants the head claim directly: FIFO-fair across procs,
-//     no shared spin word, no proc ever burned on a waiter.  The RWLock is
-//     phase-fair in this mode: a releasing writer admits the whole waiting
-//     reader batch before the next writer.
-//
-//   tas — the paper's protocol kept as the ablation baseline (MPNJ_LOCK=tas):
-//     state guarded by a platform test-and-set MutexLock (Anderson backoff
-//     per the platform's lock_backoff knob), waiters parked on a deque.
-//     The RWLock is writer-preferring in this mode.
-//
-// The discipline is chosen once per primitive at construction from
-// MPNJ_LOCK (or set_lock_discipline), mirroring the MPNJ_QUEUE knob.
+// The Mutex alone keeps a second discipline, the paper's protocol, as the
+// ablation baseline the A-LOCK table measures (MPNJ_LOCK=tas): state
+// guarded by a platform test-and-set MutexLock (Anderson backoff per the
+// platform's lock_backoff knob), waiters parked on a deque.  A Mutex samples
+// the discipline once at construction from MPNJ_LOCK (or
+// set_lock_discipline), mirroring the MPNJ_QUEUE knob.
 
 namespace mp::threads {
 
-// Which waiting protocol newly constructed primitives use.
+// Which waiting protocol newly constructed Mutexes use.
 enum class LockDiscipline {
   kQueue,  // qlock.h claim/release core (default)
   kTas,    // paper baseline: test-and-set guard + Anderson backoff
@@ -40,8 +38,8 @@ enum class LockDiscipline {
 
 // Process-wide discipline: MPNJ_LOCK=tas|queue in the environment, else
 // kQueue.  set_lock_discipline overrides the environment (benches, tests);
-// primitives sample the discipline in their constructor, so flipping it
-// does not affect live objects.
+// a Mutex samples the discipline in its constructor, so flipping it does
+// not affect live objects.
 LockDiscipline lock_discipline();
 void set_lock_discipline(LockDiscipline d);
 
@@ -80,10 +78,8 @@ class CondVar {
 
  private:
   Scheduler& sched_;
-  const bool tas_;
-  MutexLock spin_;  // guards the waiter queue in both disciplines
-  WaitList qwaiters_;
-  std::deque<ThreadState> waiters_;
+  MutexLock spin_;  // guards the waiter queue
+  WaitList waiters_;
 };
 
 // Cyclic barrier for `parties` threads.  Safe to reuse immediately: each
@@ -97,13 +93,11 @@ class Barrier {
 
  private:
   Scheduler& sched_;
-  const bool tas_;
   MutexLock spin_;
   int parties_;
   int waiting_ = 0;
   long generation_ = 0;
-  WaitList qwaiters_;
-  std::deque<ThreadState> waiters_;
+  WaitList waiters_;
 };
 
 // Counting semaphore.
@@ -116,17 +110,14 @@ class Semaphore {
 
  private:
   Scheduler& sched_;
-  const bool tas_;
   MutexLock spin_;
   long count_;
-  WaitList qwaiters_;
-  std::deque<ThreadState> waiters_;
+  WaitList waiters_;
 };
 
-// Reader/writer lock.  Queue discipline: phase-fair — once a writer is
-// queued new readers wait, and a releasing writer admits the entire waiting
-// reader batch before the next writer, so neither side starves.  Tas
-// discipline (paper baseline): writer-preferring.
+// Reader/writer lock, phase-fair: once a writer is queued new readers wait,
+// and a releasing writer admits the entire waiting reader batch before the
+// next writer, so neither side starves.
 class RWLock {
  public:
   explicit RWLock(Scheduler& sched);
@@ -137,14 +128,11 @@ class RWLock {
 
  private:
   Scheduler& sched_;
-  const bool tas_;
   MutexLock spin_;
   int readers_ = 0;
   bool writer_ = false;
-  WaitList qread_waiters_;
-  WaitList qwrite_waiters_;
-  std::deque<ThreadState> read_waiters_;
-  std::deque<ThreadState> write_waiters_;
+  WaitList read_waiters_;
+  WaitList write_waiters_;
 };
 
 // One-shot countdown latch: await() returns once count_down() has been
@@ -158,11 +146,9 @@ class CountdownLatch {
 
  private:
   Scheduler& sched_;
-  const bool tas_;
   MutexLock spin_;
   long count_;
-  WaitList qwaiters_;
-  std::deque<ThreadState> waiters_;
+  WaitList waiters_;
 };
 
 }  // namespace mp::threads

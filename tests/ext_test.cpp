@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <vector>
 
@@ -466,7 +467,9 @@ TEST_P(ExtTest, CancelUnwindsASuspendedThread) {
   bool resumed_user_code = false;
   Scheduler::run(*p, {}, [&](Scheduler& s) {
     mp::threads::ThreadState parked;
-    bool have_parked = false;
+    // Written by the child's park callback, polled by this thread from
+    // another proc: the flag publishes `parked`.
+    std::atomic<bool> have_parked{false};
     s.fork([&] {
       struct Raii {
         bool* flag;
@@ -475,11 +478,11 @@ TEST_P(ExtTest, CancelUnwindsASuspendedThread) {
       Raii r{&dtor_ran};
       s.suspend([&](mp::threads::ThreadState t) {
         parked = std::move(t);
-        have_parked = true;
+        have_parked.store(true, std::memory_order_release);
       });
       resumed_user_code = true;  // must NOT run: we get cancelled instead
     });
-    while (!have_parked) s.yield();
+    while (!have_parked.load(std::memory_order_acquire)) s.yield();
     EXPECT_FALSE(dtor_ran);
     s.cancel(std::move(parked));
     // Scheduler::run's drain waits for the cancelled thread to retire.
@@ -493,18 +496,20 @@ TEST_P(ExtTest, CancelledThreadCanCatchAndFinish) {
   bool observed = false;
   Scheduler::run(*p, {}, [&](Scheduler& s) {
     mp::threads::ThreadState parked;
-    bool have_parked = false;
+    // Written by the child's park callback, polled by this thread from
+    // another proc: the flag publishes `parked`.
+    std::atomic<bool> have_parked{false};
     s.fork([&] {
       try {
         s.suspend([&](mp::threads::ThreadState t) {
           parked = std::move(t);
-          have_parked = true;
+          have_parked.store(true, std::memory_order_release);
         });
       } catch (const mp::cont::ThreadCancelled&) {
         observed = true;  // a thread may intercept its own cancellation
       }
     });
-    while (!have_parked) s.yield();
+    while (!have_parked.load(std::memory_order_acquire)) s.yield();
     s.cancel(std::move(parked));
   });
   EXPECT_TRUE(observed);

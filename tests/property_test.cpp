@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -40,6 +41,13 @@ struct SweepCase {
   std::string workload;
   int procs;
 };
+
+// Without this gtest prints the case as raw bytes, which include the
+// std::string's data pointer: the listed test names would then change
+// with every process (ASLR) and could not be tracked across runs.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << c.workload << "/p" << c.procs;
+}
 
 class WorkloadSweep : public ::testing::TestWithParam<SweepCase> {};
 

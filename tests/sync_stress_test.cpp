@@ -1,10 +1,10 @@
-// Sync-layer stress suite (the PR-6 bug sweep): no-lost-wakeup property
-// tests for all six primitives at high thread:proc ratios (64 threads on 4
-// procs) on both backends and both lock disciplines, the barrier
-// reuse-across-generations regression, a CondVar signal/broadcast stress
-// that pins the suspend-callback monitor-release ordering under TSan, the
-// panic paths of the new invariant checks, and bit-reproducibility of
-// lock-bound sim runs under the queue discipline.
+// Sync-layer stress suite: no-lost-wakeup property tests for all six
+// primitives at high thread:proc ratios (64 threads on 4 procs) on both
+// backends and both Mutex disciplines, the barrier reuse-across-generations
+// regression, a CondVar signal/broadcast stress that pins the monitor
+// release/re-acquire ordering under TSan, the panic paths of the invariant
+// checks, and bit-reproducibility of lock-bound sim runs under the queue
+// discipline.
 
 #include <gtest/gtest.h>
 
@@ -37,8 +37,10 @@ enum class Backend { kSim, kNative };
 constexpr int kProcs = 4;
 constexpr int kThreads = 64;  // 16:1 thread:proc ratio
 
-// Every test runs on {sim, native} × {queue, tas}: the property must hold
-// for the new claim/release core and for the paper's baseline protocol.
+// Every test runs on {sim, native} × {queue, tas}.  The discipline selects
+// the Mutex protocol only — the other primitives always wait through the
+// claim/release core — so the Tas rows check the paper's baseline mutex
+// and its mix with the queue-path CondVar, Barrier and the rest.
 class SyncStress
     : public ::testing::TestWithParam<std::tuple<Backend, LockDiscipline>> {
  protected:
@@ -132,11 +134,11 @@ TEST_P(SyncStress, MutexTryLockNeverBreaksExclusion) {
 
 // ---------- CondVar: the signal/broadcast ordering stress ----------
 //
-// Pins the suspend-callback monitor-release protocol (sync.cpp): a bounded
+// Pins CondVar::wait's enqueue-then-release ordering (sync.cpp): a bounded
 // buffer where every producer signal races consumer parks through the
-// monitor handoff.  Run under the CI TSan leg, a reordering of the
-// enqueue / m.unlock() steps shows up as a lost wakeup (hang) or a data
-// race on the buffer.
+// monitor handoff, under either Mutex discipline.  Run under the CI TSan
+// leg, a reordering of the enqueue / m.unlock() steps shows up as a lost
+// wakeup (hang) or a data race on the buffer.
 
 TEST_P(SyncStress, CondVarBoundedBufferNoLostSignals) {
   constexpr int kProducers = kThreads / 2;
@@ -437,32 +439,26 @@ class SyncDeathTest : public ::testing::Test {
 
 TEST_F(SyncDeathTest, UnlockSharedWithoutHoldPanics) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  for (LockDiscipline d : {LockDiscipline::kQueue, LockDiscipline::kTas}) {
-    EXPECT_DEATH(
-        {
-          mp::threads::set_lock_discipline(d);
-          run_sim([](Scheduler& s) {
-            RWLock rw(s);
-            rw.unlock_shared();
-          });
-        },
-        "unlock_shared without a shared hold");
-  }
+  EXPECT_DEATH(
+      {
+        run_sim([](Scheduler& s) {
+          RWLock rw(s);
+          rw.unlock_shared();
+        });
+      },
+      "unlock_shared without a shared hold");
 }
 
 TEST_F(SyncDeathTest, UnlockExclusiveWithoutHoldPanics) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  for (LockDiscipline d : {LockDiscipline::kQueue, LockDiscipline::kTas}) {
-    EXPECT_DEATH(
-        {
-          mp::threads::set_lock_discipline(d);
-          run_sim([](Scheduler& s) {
-            RWLock rw(s);
-            rw.unlock_exclusive();
-          });
-        },
-        "unlock_exclusive without the exclusive hold");
-  }
+  EXPECT_DEATH(
+      {
+        run_sim([](Scheduler& s) {
+          RWLock rw(s);
+          rw.unlock_exclusive();
+        });
+      },
+      "unlock_exclusive without the exclusive hold");
 }
 
 TEST_F(SyncDeathTest, MutexUnlockUnheldPanics) {
