@@ -216,11 +216,15 @@ void WorkStealingQueue::init(Platform& p) {
 }
 
 void WorkStealingQueue::enq(Platform& p, ThreadState t) {
-  ProcCore& mine = *cores_[static_cast<std::size_t>(p.proc_id())];
+  const int me = p.proc_id();
+  ProcCore& mine = *cores_[static_cast<std::size_t>(me)];
   // Owner-side push: a slot store plus the release publish of bottom — no
   // lock pair, no read-modify-write.
   p.work(4);
   mine.deque.push(make_cell(mine, std::move(t)));
+  // The push is only an owner push if no migration happened across the safe
+  // point above (callers hold kPreempt masked: Scheduler::reschedule).
+  MPNJ_CHECK(p.proc_id() == me, "work-stealing push from a non-owner proc");
 }
 
 std::optional<ThreadState> WorkStealingQueue::deq(Platform& p) {
