@@ -28,7 +28,7 @@ Outcome contend(int procs, double backoff_us) {
     for (int i = 1; i < procs; i++) {
       mp::cont::callcc<mp::cont::Unit>(
           [&](mp::cont::Cont<mp::cont::Unit> parent) -> mp::cont::Unit {
-            p.acquire_proc(parent, 0);
+            p.acquire_proc(std::move(parent), 0);
             for (int n = 0; n < kIters; n++) {
               p.lock(l);
               p.work(30);  // short critical section

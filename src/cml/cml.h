@@ -225,32 +225,36 @@ class Event {
     p.mask_signal(Sig::kPreempt);
     const std::uint64_t raw = cont::callcc<std::uint64_t>(
         [&](cont::Cont<std::uint64_t> k) -> std::uint64_t {
-          const int tid = sched.id();
-          // Randomized polling order.
-          std::vector<std::size_t> order(bases_.size());
-          for (std::size_t i = 0; i < order.size(); i++) order[i] = i;
-          for (std::size_t i = order.size(); i > 1; i--) {
-            std::swap(order[i - 1], order[p.rng().below(i)]);
-          }
-          for (const std::size_t i : order) {
-            std::uint64_t out = 0;
-            const auto oc = bases_[i].attempt(sched, own, static_cast<int>(i),
-                                              tid, k.ref(), &out);
-            if (oc == detail::Outcome::kCommitted) {
-              immediate_base = static_cast<int>(i);
-              // No safe point between here and the implicit throw: `out`
-              // may be an unrooted heap value.
-              return out;
+          // dispatch_from_blocked switches away without unwinding this
+          // frame, so everything it owns — the polling order and the
+          // reference in `k` — lives in this scope, closed before then.
+          {
+            const cont::ContRef self = std::move(k).take_ref();
+            const int tid = sched.id();
+            // Randomized polling order.
+            std::vector<std::size_t> order(bases_.size());
+            for (std::size_t i = 0; i < order.size(); i++) order[i] = i;
+            for (std::size_t i = order.size(); i > 1; i--) {
+              std::swap(order[i - 1], order[p.rng().below(i)]);
             }
-            if (oc == detail::Outcome::kDead) {
-              // A partner committed one of our parked offers while we were
-              // scanning; our continuation is (or will be) on the ready
-              // queue with the payload preloaded.
-              own->offers_done.store(true, std::memory_order_release);
-              sched.dispatch_from_blocked();
+            for (const std::size_t i : order) {
+              std::uint64_t out = 0;
+              const auto oc = bases_[i].attempt(
+                  sched, own, static_cast<int>(i), tid, self, &out);
+              if (oc == detail::Outcome::kCommitted) {
+                immediate_base = static_cast<int>(i);
+                // No safe point between here and the implicit throw: `out`
+                // may be an unrooted heap value.
+                return out;
+              }
+              // kDead: a partner committed one of our parked offers while
+              // we were scanning; our continuation is (or will be) on the
+              // ready queue with the payload preloaded.
+              if (oc == detail::Outcome::kDead) break;
             }
           }
-          // Every base parked an offer: give up the proc.
+          // Every base parked an offer, or one already fired: give up the
+          // proc.
           own->offers_done.store(true, std::memory_order_release);
           sched.dispatch_from_blocked();
         });

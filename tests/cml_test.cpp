@@ -14,7 +14,11 @@
 #include "mp/native_platform.h"
 #include "mp/sim_platform.h"
 
+#include "live_cores.h"
+
 namespace {
+
+class CmlSim : public mpnj_test::LiveCores {};
 
 using mp::cont::Unit;
 using mp::cml::Channel;
@@ -30,7 +34,7 @@ std::string backend_name(const ::testing::TestParamInfo<Backend>& info) {
   return info.param == Backend::kSim ? "Sim" : "Native";
 }
 
-class CmlTest : public ::testing::TestWithParam<Backend> {
+class CmlTest : public mpnj_test::LiveCoresWithParam<Backend> {
  protected:
   std::unique_ptr<mp::Platform> make(int procs,
                                      std::size_t nursery = 512 * 1024) {
@@ -394,7 +398,7 @@ INSTANTIATE_TEST_SUITE_P(Backends, CmlTest,
                          ::testing::Values(Backend::kSim, Backend::kNative),
                          backend_name);
 
-TEST(CmlSim, DeterministicCommunication) {
+TEST_F(CmlSim, DeterministicCommunication) {
   auto run_once = [] {
     mp::SimPlatformConfig cfg;
     cfg.machine = mp::sim::sequent_s81(4);

@@ -32,7 +32,13 @@
 #include "workloads/runner.h"
 #include "workloads/workload.h"
 
+#include "live_cores.h"
+
 namespace {
+
+class KvService : public mpnj_test::LiveCores {};
+class KvServe : public mpnj_test::LiveCores {};
+class KvWorkload : public mpnj_test::LiveCores {};
 
 using mp::io::Duplex;
 using mp::io::Stream;
@@ -40,7 +46,6 @@ using mp::kv::FrameParser;
 using mp::kv::KvClient;
 using mp::kv::KvConfig;
 using mp::kv::KvReq;
-using mp::kv::KvService;
 using mp::kv::Op;
 using mp::kv::Reply;
 using mp::kv::ReplyParser;
@@ -358,12 +363,12 @@ TEST(ShardStore, DeterministicAcrossInstancesWithTheSameSeed) {
 
 // ---------- routing ----------
 
-TEST(KvService, RendezvousRoutingIsStableAndCoversAllShards) {
+TEST_F(KvService, RendezvousRoutingIsStableAndCoversAllShards) {
   auto p = sim_platform(4);
   run_threads(*p, [](Scheduler& sched) {
     KvConfig cfg;
     cfg.shards = 4;
-    KvService svc(sched, cfg);
+    mp::kv::KvService svc(sched, cfg);
     std::vector<int> hits(4, 0);
     for (int i = 0; i < 400; i++) {
       const std::string key = "key-" + std::to_string(i);
@@ -382,7 +387,7 @@ TEST(KvService, RendezvousRoutingIsStableAndCoversAllShards) {
 void serve_one_connection_checks(Scheduler& sched, int shards) {
   KvConfig cfg;
   cfg.shards = shards;
-  KvService svc(sched, cfg);
+  mp::kv::KvService svc(sched, cfg);
   svc.start();
   auto [client_end, server_end] = mp::io::duplex_pipe(sched, 4096);
   CountdownLatch served(sched, 1);
@@ -448,34 +453,34 @@ void serve_one_connection_checks(Scheduler& sched, int shards) {
   svc.stop();
 }
 
-TEST(KvServe, SimPipeEndToEnd) {
+TEST_F(KvServe, SimPipeEndToEnd) {
   auto p = sim_platform(4);
   run_threads(*p, [](Scheduler& sched) {
     serve_one_connection_checks(sched, 4);
   });
 }
 
-TEST(KvServe, SingleShardStillServes) {
+TEST_F(KvServe, SingleShardStillServes) {
   auto p = sim_platform(2);
   run_threads(*p, [](Scheduler& sched) {
     serve_one_connection_checks(sched, 1);
   });
 }
 
-TEST(KvServe, NativePipeEndToEnd) {
+TEST_F(KvServe, NativePipeEndToEnd) {
   auto p = native_platform(4);
   run_threads(*p, [](Scheduler& sched) {
     serve_one_connection_checks(sched, 4);
   });
 }
 
-TEST(KvServe, SplitFramesOverTheWire) {
+TEST_F(KvServe, SplitFramesOverTheWire) {
   // Push a pipelined batch through the stream a few bytes at a time: the
   // server's incremental parser must reassemble frames regardless of how
   // reads line up, and replies must come back in request order.
   auto p = sim_platform(2);
   run_threads(*p, [](Scheduler& sched) {
-    KvService svc(sched);
+    mp::kv::KvService svc(sched);
     svc.start();
     auto [client_end, server_end] = mp::io::duplex_pipe(sched, 4096);
     CountdownLatch served(sched, 1);
@@ -523,10 +528,10 @@ TEST(KvServe, SplitFramesOverTheWire) {
   });
 }
 
-TEST(KvServe, NativeTcpEndToEnd) {
+TEST_F(KvServe, NativeTcpEndToEnd) {
   auto p = native_platform(2);
   run_threads(*p, [](Scheduler& sched) {
-    KvService svc(sched);
+    mp::kv::KvService svc(sched);
     svc.start();
     mp::io::Reactor reactor(sched);
     auto listener = mp::io::Listener::tcp(reactor, 0, 16);
@@ -549,10 +554,10 @@ TEST(KvServe, NativeTcpEndToEnd) {
   });
 }
 
-TEST(KvServe, AbruptDisconnectWithRequestsInFlightDrainsCleanly) {
+TEST_F(KvServe, AbruptDisconnectWithRequestsInFlightDrainsCleanly) {
   auto p = sim_platform(2);
   run_threads(*p, [](Scheduler& sched) {
-    KvService svc(sched);
+    mp::kv::KvService svc(sched);
     svc.start();
     auto [client_end, server_end] = mp::io::duplex_pipe(sched, 4096);
     CountdownLatch served(sched, 1);
@@ -572,7 +577,7 @@ TEST(KvServe, AbruptDisconnectWithRequestsInFlightDrainsCleanly) {
   });
 }
 
-TEST(KvServe, NativeTcpRstWithUnreadRepliesStillServes) {
+TEST_F(KvServe, NativeTcpRstWithUnreadRepliesStillServes) {
   // A peer that pipelines requests, never reads a reply, and closes with
   // SO_LINGER zero hits the server with a TCP RST instead of a clean EOF:
   // the server's next read raises ECONNRESET.  serve() must treat that as
@@ -580,7 +585,7 @@ TEST(KvServe, NativeTcpRstWithUnreadRepliesStillServes) {
   // must keep serving fresh connections afterwards.
   auto p = native_platform(2);
   run_threads(*p, [](Scheduler& sched) {
-    KvService svc(sched);
+    mp::kv::KvService svc(sched);
     svc.start();
     mp::io::Reactor reactor(sched);
     auto listener = mp::io::Listener::tcp(reactor, 0, 16);
@@ -633,7 +638,7 @@ TEST(KvServe, NativeTcpRstWithUnreadRepliesStillServes) {
   });
 }
 
-TEST(KvService, StalledReplyConsumerDoesNotBlockTheShard) {
+TEST_F(KvService, StalledReplyConsumerDoesNotBlockTheShard) {
   // Reply delivery is a mailbox post, not a rendezvous: a connection whose
   // writer has stopped draining (peer reads nothing, write_all parked) must
   // not park the shard owner, or it would head-of-line block every other
@@ -643,7 +648,7 @@ TEST(KvService, StalledReplyConsumerDoesNotBlockTheShard) {
   run_threads(*p, [](Scheduler& sched) {
     KvConfig cfg;
     cfg.shards = 1;  // one shard owns every key: maximum interference
-    KvService svc(sched, cfg);
+    mp::kv::KvService svc(sched, cfg);
     svc.start();
     mp::cml::Mailbox<std::uint64_t> stalled(sched);
     std::vector<KvReq> parked(8);
@@ -672,7 +677,7 @@ TEST(KvService, StalledReplyConsumerDoesNotBlockTheShard) {
 
 // ---------- the kv workload: exact verification + determinism ----------
 
-TEST(KvWorkload, VerifiesOnTheSimulator) {
+TEST_F(KvWorkload, VerifiesOnTheSimulator) {
   mp::workloads::SimRunSpec spec;
   spec.workload = "kv";
   spec.machine = mp::sim::sequent_s81(4);
@@ -681,7 +686,7 @@ TEST(KvWorkload, VerifiesOnTheSimulator) {
   EXPECT_NE(r.checksum, 0u);
 }
 
-TEST(KvWorkload, SimRunsAreDeterministic) {
+TEST_F(KvWorkload, SimRunsAreDeterministic) {
   mp::workloads::SimRunSpec spec;
   spec.workload = "kv";
   spec.machine = mp::sim::sequent_s81(3);
@@ -692,7 +697,7 @@ TEST(KvWorkload, SimRunsAreDeterministic) {
   EXPECT_EQ(a.report.total_us, b.report.total_us);
 }
 
-TEST(KvWorkload, ChecksumIsIndependentOfShardAndProcCount) {
+TEST_F(KvWorkload, ChecksumIsIndependentOfShardAndProcCount) {
   mp::workloads::SimRunSpec spec;
   spec.workload = "kv";
   spec.machine = mp::sim::sequent_s81(1);
@@ -704,7 +709,7 @@ TEST(KvWorkload, ChecksumIsIndependentOfShardAndProcCount) {
   EXPECT_EQ(one.checksum, four.checksum);
 }
 
-TEST(KvWorkload, VerifiesOnNativeWithPipesAndTcp) {
+TEST_F(KvWorkload, VerifiesOnNativeWithPipesAndTcp) {
   for (const bool tcp : {false, true}) {
     mp::workloads::KvWorkloadOptions opts;
     opts.connections = 4;
@@ -718,7 +723,7 @@ TEST(KvWorkload, VerifiesOnNativeWithPipesAndTcp) {
 }
 
 #if MPNJ_METRICS
-TEST(KvWorkload, OpCountersAdvance) {
+TEST_F(KvWorkload, OpCountersAdvance) {
   auto& reg = mp::metrics::registry();
   if (!reg.enabled()) GTEST_SKIP() << "metrics disabled via MPNJ_METRICS=0";
   const auto before = reg.snapshot();

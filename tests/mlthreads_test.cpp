@@ -13,7 +13,11 @@
 #include "threads/mlthreads.h"
 #include "threads/trace.h"
 
+#include "live_cores.h"
+
 namespace {
+
+class Trace : public mpnj_test::LiveCores {};
 
 using mp::cont::Unit;
 using mp::threads::alert_pause;
@@ -43,7 +47,7 @@ std::unique_ptr<mp::Platform> make_platform(Backend b, int procs) {
   return std::make_unique<mp::NativePlatform>(cfg);
 }
 
-class MlThreadsTest : public ::testing::TestWithParam<Backend> {};
+class MlThreadsTest : public mpnj_test::LiveCoresWithParam<Backend> {};
 
 TEST_P(MlThreadsTest, ForkJoinReturnsValue) {
   auto p = make_platform(GetParam(), 2);
@@ -167,7 +171,7 @@ INSTANTIATE_TEST_SUITE_P(Backends, MlThreadsTest,
 
 // ---------- tracer ----------
 
-TEST(Trace, RecordsForksYieldsAndExits) {
+TEST_F(Trace, RecordsForksYieldsAndExits) {
   mp::SimPlatformConfig cfg;
   cfg.machine = mp::sim::sequent_s81(2);
   mp::SimPlatform p(cfg);
@@ -196,7 +200,7 @@ TEST(Trace, RecordsForksYieldsAndExits) {
   EXPECT_EQ(children.size(), 3u);
 }
 
-TEST(Trace, DeterministicReplayOnSimulator) {
+TEST_F(Trace, DeterministicReplayOnSimulator) {
   auto run_once = [] {
     mp::SimPlatformConfig cfg;
     cfg.machine = mp::sim::sequent_s81(4);
@@ -227,7 +231,7 @@ TEST(Trace, DeterministicReplayOnSimulator) {
   }
 }
 
-TEST(Trace, PreemptEventsAppearForComputeBoundThreads) {
+TEST_F(Trace, PreemptEventsAppearForComputeBoundThreads) {
   mp::SimPlatformConfig cfg;
   cfg.machine = mp::sim::sequent_s81(1);
   mp::SimPlatform p(cfg);
@@ -248,7 +252,7 @@ TEST(Trace, PreemptEventsAppearForComputeBoundThreads) {
   EXPECT_GT(tracer.count(TraceKind::kPreempt), 3u);
 }
 
-TEST(Trace, FormatIsHumanReadable) {
+TEST_F(Trace, FormatIsHumanReadable) {
   mp::SimPlatformConfig cfg;
   cfg.machine = mp::sim::sequent_s81(1);
   mp::SimPlatform p(cfg);

@@ -20,7 +20,11 @@
 #include "threads/scheduler.h"
 #include "threads/sync.h"
 
+#include "live_cores.h"
+
 namespace {
+
+class SyncSimDeterminism : public mpnj_test::LiveCores {};
 
 using mp::threads::Barrier;
 using mp::threads::CondVar;
@@ -41,14 +45,18 @@ constexpr int kThreads = 64;  // 16:1 thread:proc ratio
 // the Mutex protocol only — the other primitives always wait through the
 // claim/release core — so the Tas rows check the paper's baseline mutex
 // and its mix with the queue-path CondVar, Barrier and the rest.
-class SyncStress
-    : public ::testing::TestWithParam<std::tuple<Backend, LockDiscipline>> {
+class SyncStress : public mpnj_test::LiveCoresWithParam<
+                       std::tuple<Backend, LockDiscipline>> {
  protected:
   void SetUp() override {
+    LiveCoresWithParam::SetUp();
     saved_ = mp::threads::lock_discipline();
     mp::threads::set_lock_discipline(std::get<1>(GetParam()));
   }
-  void TearDown() override { mp::threads::set_lock_discipline(saved_); }
+  void TearDown() override {
+    mp::threads::set_lock_discipline(saved_);
+    LiveCoresWithParam::TearDown();
+  }
 
   std::unique_ptr<mp::Platform> make(int procs = kProcs) {
     if (std::get<0>(GetParam()) == Backend::kSim) {
@@ -415,7 +423,7 @@ double contended_sim_total_us() {
   return platform.report().total_us;
 }
 
-TEST(SyncSimDeterminism, QueueLockTracesBitReproducible) {
+TEST_F(SyncSimDeterminism, QueueLockTracesBitReproducible) {
   const LockDiscipline saved = mp::threads::lock_discipline();
   mp::threads::set_lock_discipline(LockDiscipline::kQueue);
   const double a = contended_sim_total_us();
