@@ -42,6 +42,11 @@ struct ExecContext {
   // loop, owned by the platform backend.
   arch::Context* idle_ctx = nullptr;
 
+  // caught_exception_top() when the current segment was last entered.  A
+  // direct transfer that finds another top is inside a catch handler of the
+  // segment's own frames (cont.cpp).
+  void* caught_base = nullptr;
+
   // Sanitizer identity of the idle loop's stack (arch/fiber_san.h): the
   // TSan fiber is captured by enter_from_idle before it suspends; the ASan
   // bounds are captured on the client side of that switch, where the
@@ -85,5 +90,10 @@ struct ExecContext {
 // The executing proc's context; set by the platform backends.
 ExecContext* current_exec() noexcept;
 void set_current_exec(ExecContext* exec) noexcept;
+
+// Top of this kernel thread's stack of caught C++ exceptions (null outside
+// every catch handler).  Out of line, like current_exec(): a thread of
+// control may come back on another kernel thread after a switch.
+void* caught_exception_top() noexcept;
 
 }  // namespace mp::cont

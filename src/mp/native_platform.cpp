@@ -111,7 +111,7 @@ void NativePlatform::proc_loop(NProc& p) {
   cont::set_current_exec(nullptr);
 }
 
-bool NativePlatform::backend_acquire(cont::ContRef k, Datum datum) {
+bool NativePlatform::backend_acquire(cont::ContRef&& k, Datum datum) {
   std::unique_lock<std::mutex> lk(pool_mutex_);
   for (auto& up : procs_) {
     NProc& p = *up;

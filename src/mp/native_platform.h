@@ -67,7 +67,7 @@ class NativePlatform final : public Platform {
  protected:
   ProcRec& self() override;
   void for_each_proc(const std::function<void(ProcRec&)>& fn) override;
-  bool backend_acquire(cont::ContRef k, Datum datum) override;
+  bool backend_acquire(cont::ContRef&& k, Datum datum) override;
   [[noreturn]] void backend_release() override;
   void backend_run(cont::ContRef root, Datum root_datum) override;
   void on_done() override;

@@ -10,17 +10,20 @@ std::uint32_t sig_bit(Sig s) { return 1u << static_cast<int>(s); }
 
 }  // namespace
 
-bool Platform::try_acquire_proc(cont::Cont<cont::Unit> k, Datum datum) {
+bool Platform::try_acquire_proc(cont::Cont<cont::Unit>&& k, Datum datum) {
   MPNJ_CHECK(k.valid(), "acquire_proc with an invalid continuation");
   // Deliver the unit value now: on success the new proc fires the
   // continuation directly; on failure the caller typically reschedules it
   // onto a ready queue (paper Figure 3), which holds preloaded
   // continuations.
   k.preload(cont::Unit{});
-  return backend_acquire(std::move(k).take_ref(), datum);
+  cont::ContRef ref = std::move(k).take_ref();
+  if (backend_acquire(std::move(ref), datum)) return true;
+  k = cont::Cont<cont::Unit>(std::move(ref));
+  return false;
 }
 
-void Platform::acquire_proc(cont::Cont<cont::Unit> k, Datum datum) {
+void Platform::acquire_proc(cont::Cont<cont::Unit>&& k, Datum datum) {
   if (!try_acquire_proc(std::move(k), datum)) throw NoMoreProcs();
 }
 

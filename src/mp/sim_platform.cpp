@@ -114,7 +114,7 @@ void SimPlatform::proc_main(int id) {
   }
 }
 
-bool SimPlatform::backend_acquire(cont::ContRef k, Datum datum) {
+bool SimPlatform::backend_acquire(cont::ContRef&& k, Datum datum) {
   const bool on_proc = engine_->current() >= 0;
   for (auto& up : procs_) {
     SimProc& p = *up;

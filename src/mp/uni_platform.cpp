@@ -45,7 +45,7 @@ void UniPlatform::for_each_proc(const std::function<void(ProcRec&)>& fn) {
   fn(proc_);
 }
 
-bool UniPlatform::backend_acquire(cont::ContRef, Datum) {
+bool UniPlatform::backend_acquire(cont::ContRef&&, Datum) {
   // The single proc is always the caller's: there is never a second
   // processor to acquire.  Clients written against the full platform
   // (Figure 3) degrade gracefully: fork's acquire fails and the parent
